@@ -1,6 +1,7 @@
 // Columnar-plane ablation (DESIGN.md §3h): the same GridPocket CSV and
 // Table I queries executed through three scan engines —
 //   row         ScalarRowReader, the original row-at-a-time scanner
+//               (frozen in tests/reference/)
 //   batch       CsvBatchReader with dictionary encoding off
 //   batch+dict  CsvBatchReader as shipped (low-cardinality strings
 //               dictionary-encoded, predicate kernels hit the dict path)
@@ -21,9 +22,9 @@
 #include "columnar/simd.h"
 #include "common/metrics.h"
 #include "csv/batch_reader.h"
-#include "csv/record_reader.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "tests/reference/scalar_row_reader.h"
 #include "workload/generator.h"
 #include "workload/queries.h"
 

@@ -10,13 +10,13 @@
 #include "common/strings.h"
 #include "csv/batch_reader.h"
 #include "csv/csv_storlet.h"
-#include "csv/record_reader.h"
 #include "common/lz.h"
 #include "datasource/parquet_format.h"
 #include "objectstore/ring.h"
 #include "bench/bench_util.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "tests/reference/scalar_row_reader.h"
 #include "workload/generator.h"
 #include "workload/queries.h"
 
@@ -50,23 +50,8 @@ void BM_LikeMatchBacktracking(benchmark::State& state) {
 }
 BENCHMARK(BM_LikeMatchBacktracking);
 
-void BM_CsvParseTyped(benchmark::State& state) {
-  std::string csv = SampleCsv(20000);
-  Schema schema = GridPocketGenerator::MeterSchema();
-  for (auto _ : state) {
-    CsvRowReader reader(csv, &schema);
-    Row row;
-    int64_t n = 0;
-    while (reader.Next(&row)) ++n;
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(csv.size()));
-}
-BENCHMARK(BM_CsvParseTyped);
-
-// The retired row-at-a-time engine, kept as the reference arm of the
-// columnar ablation (BM_CsvParseTyped above now adapts over batches).
+// The retired row-at-a-time engine (tests/reference/), kept as the
+// reference arm of the columnar ablation.
 void BM_CsvParseRowReference(benchmark::State& state) {
   std::string csv = SampleCsv(20000);
   Schema schema = GridPocketGenerator::MeterSchema();
@@ -208,7 +193,7 @@ void BM_ParquetDecodePruned(benchmark::State& state) {
   auto encoded = ParquetEncode(schema, generator.MakeAllRows());
   std::vector<std::string> projection = {"vid", "index"};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ParquetDecode(*encoded, projection));
+    benchmark::DoNotOptimize(ParquetDecodeBatch(*encoded, projection));
   }
 }
 BENCHMARK(BM_ParquetDecodePruned);
@@ -230,13 +215,11 @@ void BM_SqlPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlPlan);
 
-// Buffered vs streaming engine pipeline on the Fig. 5 selectivity
-// workload (CSVStorlet with a row-discarding predicate). Both modes must
-// deliver the same throughput; the peak_buffered_bytes counter shows the
-// memory story — the buffered path holds whole stage copies
-// (O(object_size)), the streaming path only its bounded queues
-// (O(chunk_size x pipeline_depth)).
-void RunSelectivityPipeline(benchmark::State& state, bool streaming) {
+// The engine pipeline on the Fig. 5 selectivity workload (CSVStorlet
+// with a row-discarding predicate). The peak_buffered_bytes counter shows
+// the memory story: the bounded queues hold O(chunk_size x
+// pipeline_depth), never the object.
+void BM_PushdownPipelineStreaming(benchmark::State& state) {
   static std::unique_ptr<ScoopCluster>* cluster = [] {
     auto created = ScoopCluster::Create();
     if (!created.ok()) std::abort();
@@ -252,28 +235,19 @@ void RunSelectivityPipeline(benchmark::State& state, bool streaming) {
   gauge->Reset();
 
   for (auto _ : state) {
-    if (streaming) {
-      auto pipeline = engine.RunPipelineStreaming(
-          "acct", "data", invocations,
-          std::make_shared<StringByteStream>(csv, engine.chunk_size()));
-      if (!pipeline.ok()) {
-        state.SkipWithError(pipeline.status().ToString().c_str());
-        break;
-      }
-      auto output = pipeline->output->ReadAll();
-      if (!output.ok()) {
-        state.SkipWithError(output.status().ToString().c_str());
-        break;
-      }
-      benchmark::DoNotOptimize(output->size());
-    } else {
-      auto result = engine.RunPipeline("acct", "data", invocations, csv);
-      if (!result.ok()) {
-        state.SkipWithError(result.status().ToString().c_str());
-        break;
-      }
-      benchmark::DoNotOptimize(result->output.size());
+    auto pipeline = engine.RunPipelineStreaming(
+        "acct", "data", invocations,
+        std::make_shared<StringByteStream>(csv, engine.chunk_size()));
+    if (!pipeline.ok()) {
+      state.SkipWithError(pipeline.status().ToString().c_str());
+      break;
     }
+    auto output = pipeline->output->ReadAll();
+    if (!output.ok()) {
+      state.SkipWithError(output.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(output->size());
   }
   state.counters["peak_buffered_bytes"] =
       benchmark::Counter(static_cast<double>(gauge->peak()));
@@ -281,15 +255,6 @@ void RunSelectivityPipeline(benchmark::State& state, bool streaming) {
       benchmark::Counter(static_cast<double>(csv.size()));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(csv.size()));
-}
-
-void BM_PushdownPipelineBuffered(benchmark::State& state) {
-  RunSelectivityPipeline(state, false);
-}
-BENCHMARK(BM_PushdownPipelineBuffered);
-
-void BM_PushdownPipelineStreaming(benchmark::State& state) {
-  RunSelectivityPipeline(state, true);
 }
 BENCHMARK(BM_PushdownPipelineStreaming);
 

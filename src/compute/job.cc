@@ -15,7 +15,7 @@ Result<QueryOutcome> SqlJobRunner::Run(const SelectStatement& stmt,
 
   struct TaskOutput {
     PartialResult partial;
-    PartitionScanResult scan_info;  // rows cleared, stats kept
+    PartitionScanResult scan_info;  // batches cleared, stats kept
     Status status = Status::OK();
   };
   std::vector<TaskOutput> outputs(partitions.size());
@@ -23,7 +23,7 @@ Result<QueryOutcome> SqlJobRunner::Run(const SelectStatement& stmt,
   // The full pushdown hint set, shared by every task: projection and
   // selection always; partial aggregation when the plan's shape is
   // distributable; a LIMIT cap when the driver only needs a row prefix.
-  // Sources that ignore the extensions return rows and the tasks
+  // Sources that ignore the extensions return batches and the tasks
   // aggregate/truncate compute-side — same answer either way.
   ScanSpec scan_spec;
   scan_spec.required_columns = plan->required_columns();
@@ -54,11 +54,6 @@ Result<QueryOutcome> SqlJobRunner::Run(const SelectStatement& stmt,
           if (!out.status.ok()) return;
           scan->agg_groups.clear();
         }
-        // Row-plane sources (and adapters) fill rows; columnar sources
-        // fill batches. Either way the same plan accumulates.
-        for (const Row& row : scan->rows) {
-          plan->ProcessRow(row, scan->filter_applied, &out.partial);
-        }
         for (const RecordBatch& batch : scan->batches) {
           Stopwatch batch_watch;
           plan->ProcessBatch(batch, scan->filter_applied, &out.partial);
@@ -67,7 +62,6 @@ Result<QueryOutcome> SqlJobRunner::Run(const SelectStatement& stmt,
                 batch_watch.ElapsedSeconds() * 1e6));
           }
         }
-        scan->rows.clear();
         scan->batches.clear();
         out.scan_info = std::move(scan).value();
       });

@@ -1,6 +1,7 @@
 #include "csv/agg_storlet.h"
 
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <numeric>
 
@@ -275,18 +276,29 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
     wire_input = LooksLikeBatchWire(std::string_view(header, sniffed));
   }
 
+  // Folds a block of `num_rows` schema-ordered records (row-major field
+  // views) through the selection into the group map. rows_in counts
+  // selected rows only.
+  std::vector<uint32_t> selected;
+  auto fold = [&](const std::string_view* fields, int64_t num_rows) {
+    selected.resize(static_cast<size_t>(num_rows));
+    std::iota(selected.begin(), selected.end(), 0u);
+    if (has_selection) {
+      selection.MatchRows(fields, schema.size(), schema, &selected);
+    }
+    rows_in += static_cast<int64_t>(selected.size());
+    for (uint32_t r : selected) accumulate(fields + r * schema.size());
+  };
+
   if (wire_input) {
     // Wire frames carry raw string fields under their own (possibly
-    // projected) schema; map this storlet's column positions by name so
-    // the record view handed to accumulate/selection stays schema-shaped.
+    // projected) schema; each frame is rendered once into a block laid out
+    // in this storlet's schema order, matching columns by name.
     BatchWireReader wire;
     RecordBatch batch;
     std::vector<char> chunk(64 * 1024);
-    std::vector<int> wire_idx;          // schema position -> wire column
-    std::vector<std::string> rendered;  // scratch for non-string columns
-    rendered.reserve(schema.size());    // views into it must not relocate
-    std::vector<std::string_view> fields(schema.size());
-    std::vector<uint32_t> one;
+    std::deque<std::string> rendered;  // non-string cells, stable addresses
+    std::vector<std::string_view> block;
     for (;;) {
       SCOOP_ASSIGN_OR_RETURN(bool got_batch, wire.Next(&batch));
       if (!got_batch) {
@@ -295,57 +307,35 @@ Status GroupAggStorlet::Invoke(StorletInputStream& input,
         wire.Feed(std::string_view(chunk.data(), got));
         continue;
       }
-      wire_idx.assign(schema.size(), -1);
-      for (size_t i = 0; i < schema.size(); ++i) {
-        wire_idx[i] = batch.schema().IndexOf(schema.column(i).name);
-      }
-      for (int64_t r = 0; r < batch.num_rows(); ++r) {
-        rendered.clear();
-        for (size_t i = 0; i < schema.size(); ++i) {
-          int wc = wire_idx[i];
-          if (wc < 0) {
-            fields[i] = std::string_view();  // absent column reads as null
-            continue;
-          }
-          const ColumnVector& col = batch.column(wc);
-          if (col.type() == ColumnType::kString) {
-            fields[i] = col.is_null(r) ? std::string_view() : col.StringAt(r);
-          } else {
-            rendered.push_back(col.GetValue(r).ToString());
-            fields[i] = rendered.back();
+      const size_t width = schema.size();
+      const int64_t rows = batch.num_rows();
+      rendered.clear();
+      // Absent columns keep the empty view: they read as null.
+      block.assign(static_cast<size_t>(rows) * width, std::string_view());
+      for (size_t i = 0; i < width; ++i) {
+        int wc = batch.schema().IndexOf(schema.column(i).name);
+        if (wc < 0) continue;
+        const ColumnVector& col = batch.column(wc);
+        for (int64_t r = 0; r < rows; ++r) {
+          std::string_view& cell = block[static_cast<size_t>(r) * width + i];
+          if (col.type() != ColumnType::kString) {
+            cell = rendered.emplace_back(col.GetValue(r).ToString());
+          } else if (!col.is_null(r)) {
+            cell = col.StringAt(r);
           }
         }
-        if (has_selection) {
-          one.assign(1, 0);
-          selection.MatchRows(fields.data(), fields.size(), schema, &one);
-          if (one.empty()) continue;
-        }
-        ++rows_in;
-        accumulate(fields.data());
       }
+      fold(block.data(), rows);
     }
     if (wire.buffered_bytes() > 0) {
       return Status::InvalidArgument(
           "aggstorlet: truncated batch frame at end of input");
     }
   } else {
-    // Text input: batched structural scan. rows_in counts selected rows
-    // only, exactly like the historical per-line loop.
+    // Text input: batched structural scan.
     CsvStreamBatcher batcher(&input, schema.size());
     RawRecordBatch raw;
-    std::vector<uint32_t> selected;
-    while (batcher.Next(&raw)) {
-      selected.resize(static_cast<size_t>(raw.num_rows));
-      std::iota(selected.begin(), selected.end(), 0u);
-      if (has_selection) {
-        selection.MatchRows(raw.fields.data(), raw.num_fields, schema,
-                            &selected);
-      }
-      rows_in += static_cast<int64_t>(selected.size());
-      for (uint32_t r : selected) {
-        accumulate(raw.fields.data() + r * raw.num_fields);
-      }
-    }
+    while (batcher.Next(&raw)) fold(raw.fields.data(), raw.num_rows);
   }
 
   if (partials_mode) {

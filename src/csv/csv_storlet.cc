@@ -12,65 +12,6 @@
 
 namespace scoop {
 
-namespace {
-
-// The pre-columnar row-at-a-time engine, kept behind `engine=row` as the
-// reference arm for the equivalence tests and bench/ablation_columnar.
-Status RowEngine(StorletInputStream& input, StorletOutputStream& output,
-                 StorletLogger& logger, const Schema& schema,
-                 const std::vector<int>& projection, bool project_all,
-                 const SourceFilter& selection, bool has_selection,
-                 int64_t limit) {
-  CsvRecordParser parser;
-  std::vector<std::string_view> projected;
-  std::string scratch;
-  int64_t rows_in = 0;
-  int64_t rows_out = 0;
-  bool limit_hit = limit == 0;
-  while (!limit_hit) {
-    auto line = input.ReadLine();
-    if (!line) break;
-    std::string_view record = *line;
-    if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
-    if (record.empty()) continue;
-    ++rows_in;
-    if (has_selection || !project_all) {
-      const std::vector<std::string_view>& fields = parser.Parse(record);
-      if (fields.size() != schema.size()) continue;  // malformed record
-      if (has_selection && !selection.Matches(fields, schema)) continue;
-      ++rows_out;
-      if (project_all) {
-        // Row-selectivity fast path: pass the record through untouched.
-        output.WriteLine(record);
-      } else {
-        projected.clear();
-        for (int idx : projection) {
-          projected.push_back(fields[static_cast<size_t>(idx)]);
-        }
-        scratch.clear();
-        WriteCsvRecord(projected, &scratch);
-        output.Write(scratch);
-      }
-    } else {
-      // Trivial invocation: identity copy.
-      output.WriteLine(record);
-      ++rows_out;
-    }
-    // LIMIT pushdown: stop the scan (and, via queue teardown, the
-    // upstream object read) once enough rows are out.
-    if (limit >= 0 && rows_out >= limit) limit_hit = true;
-  }
-  logger.Emit(StrFormat("csvstorlet: %lld rows in, %lld rows out",
-                        static_cast<long long>(rows_in),
-                        static_cast<long long>(rows_out)));
-  output.SetMetadata("rows-in", std::to_string(rows_in));
-  output.SetMetadata("rows-out", std::to_string(rows_out));
-  if (limit_hit) output.SetMetadata("limit-hit", "1");
-  return Status::OK();
-}
-
-}  // namespace
-
 Status CsvStorlet::Invoke(StorletInputStream& input,
                           StorletOutputStream& output,
                           const StorletParams& params, StorletLogger& logger) {
@@ -123,23 +64,6 @@ Status CsvStorlet::Invoke(StorletInputStream& input,
   auto output_it = params.find("output");
   bool batch_output = output_it != params.end() && output_it->second == "batch";
 
-  auto engine_it = params.find("engine");
-  if (engine_it != params.end() && engine_it->second == "row") {
-    if (batch_output) {
-      return Status::InvalidArgument(
-          "csvstorlet: engine=row cannot emit output=batch");
-    }
-    return RowEngine(input, output, logger, schema, projection, project_all,
-                     selection, has_selection, limit);
-  }
-
-  if (!batch_output && !has_selection && project_all) {
-    // Trivial invocation: identity copy, malformed records included —
-    // batching would drop them, and there is nothing to vectorize.
-    return RowEngine(input, output, logger, schema, projection, project_all,
-                     selection, has_selection, limit);
-  }
-
   // Batched engine: one structural scan per window, selection evaluated
   // over whole RawRecordBatches with a selection vector.
   const std::vector<int>* out_indices = &projection;
@@ -170,7 +94,19 @@ Status CsvStorlet::Invoke(StorletInputStream& input,
   std::string scratch;
   int64_t rows_out = 0;
   bool limit_hit = limit == 0;
-  while (!limit_hit && batcher.Next(&raw)) {
+  // Trivial invocation: identity copy, malformed records included —
+  // batching would drop them, and there is nothing to vectorize.
+  const bool copy_lines = !batch_output && !has_selection && project_all;
+  while (copy_lines && !limit_hit) {
+    auto line = input.ReadLine();
+    if (!line) break;
+    std::string_view record = *line;
+    if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
+    if (record.empty()) continue;
+    output.WriteLine(record);
+    limit_hit = ++rows_out == limit;
+  }
+  while (!copy_lines && !limit_hit && batcher.Next(&raw)) {
     selected.resize(static_cast<size_t>(raw.num_rows));
     std::iota(selected.begin(), selected.end(), 0u);
     if (has_selection) {
@@ -213,7 +149,7 @@ Status CsvStorlet::Invoke(StorletInputStream& input,
     }
     if (limit >= 0 && rows_out >= limit) limit_hit = true;
   }
-  int64_t rows_in = batcher.records_seen();
+  int64_t rows_in = copy_lines ? rows_out : batcher.records_seen();
   logger.Emit(StrFormat("csvstorlet: %lld rows in, %lld rows out%s",
                         static_cast<long long>(rows_in),
                         static_cast<long long>(rows_out),

@@ -1,7 +1,6 @@
 #include "csv/record_reader.h"
 
 #include "common/strings.h"
-#include "csv/batch_reader.h"
 
 namespace scoop {
 
@@ -62,59 +61,6 @@ const std::vector<std::string_view>& CsvRecordParser::Parse(
     }
   }
   return fields_;
-}
-
-CsvRowReader::CsvRowReader(std::string_view data, const Schema* schema) {
-  // Rows are materialized immediately, so dictionary-encoding the
-  // intermediate batches would be pure overhead.
-  CsvBatchOptions options;
-  options.dictionary = false;
-  reader_ = std::make_unique<CsvBatchReader>(data, schema, options);
-}
-
-CsvRowReader::~CsvRowReader() = default;
-
-bool CsvRowReader::Next(Row* row) {
-  while (cursor_ >= batch_.num_rows()) {
-    if (!reader_->Next(&batch_)) return false;
-    cursor_ = 0;
-  }
-  batch_.ExtractRow(cursor_++, row);
-  ++rows_;
-  return true;
-}
-
-int64_t CsvRowReader::malformed_rows() const {
-  return reader_->stats().malformed_rows;
-}
-
-bool ScalarRowReader::Next(Row* row) {
-  while (pos_ < data_.size()) {
-    size_t nl = data_.find('\n', pos_);
-    std::string_view line;
-    if (nl == std::string_view::npos) {
-      line = data_.substr(pos_);
-      pos_ = data_.size();
-    } else {
-      line = data_.substr(pos_, nl - pos_);
-      pos_ = nl + 1;
-    }
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    const std::vector<std::string_view>& fields = parser_.Parse(line);
-    if (fields.size() != schema_->size()) {
-      ++malformed_;
-      continue;
-    }
-    row->clear();
-    row->reserve(fields.size());
-    for (size_t i = 0; i < fields.size(); ++i) {
-      row->push_back(Value::FromField(fields[i], schema_->column(i).type));
-    }
-    ++rows_;
-    return true;
-  }
-  return false;
 }
 
 void WriteCsvRecord(const std::vector<std::string_view>& fields,

@@ -18,16 +18,6 @@ Result<std::vector<Partition>> CsvDataSource::Partitions() {
 }
 
 Result<PartitionScanResult> CsvDataSource::ScanPartition(
-    const Partition& partition,
-    const std::vector<std::string>& required_columns,
-    const SourceFilter& filter) {
-  ScanSpec spec;
-  spec.required_columns = required_columns;
-  spec.filter = filter;
-  return ScanPartition(partition, spec);
-}
-
-Result<PartitionScanResult> CsvDataSource::ScanPartition(
     const Partition& partition, const ScanSpec& spec) {
   const std::vector<std::string>& required_columns = spec.required_columns;
   const SourceFilter& filter = spec.filter;
@@ -133,15 +123,20 @@ Result<std::vector<Row>> CsvDataSource::ScanPrunedFiltered(
     const std::vector<std::string>& required_columns,
     const SourceFilter& filter, bool* filter_applied) {
   SCOOP_ASSIGN_OR_RETURN(std::vector<Partition> partitions, Partitions());
+  ScanSpec spec;
+  spec.required_columns = required_columns;
+  spec.filter = filter;
   std::vector<Row> rows;
   bool all_filtered = true;
   for (const Partition& partition : partitions) {
-    SCOOP_ASSIGN_OR_RETURN(
-        PartitionScanResult scan,
-        ScanPartition(partition, required_columns, filter));
+    SCOOP_ASSIGN_OR_RETURN(PartitionScanResult scan,
+                           ScanPartition(partition, spec));
     all_filtered = all_filtered && scan.filter_applied;
-    scan.MaterializeRows();
-    for (Row& row : scan.rows) rows.push_back(std::move(row));
+    for (const RecordBatch& batch : scan.batches) {
+      for (int64_t i = 0; i < batch.num_rows(); ++i) {
+        batch.ExtractRow(i, &rows.emplace_back());
+      }
+    }
   }
   if (filter_applied != nullptr) {
     *filter_applied = all_filtered && !partitions.empty();

@@ -53,14 +53,9 @@ class CsvDataSource : public PrunedFilteredScan,
 
   Result<std::vector<Partition>> Partitions() override;
 
-  Result<PartitionScanResult> ScanPartition(
-      const Partition& partition,
-      const std::vector<std::string>& required_columns,
-      const SourceFilter& filter) override;
-
-  // Rich scan: honors ScanSpec::aggregate (partial aggregation at the
-  // store, SAG1-decoded into agg_groups) and ScanSpec::limit; both
-  // degrade to the row scan when pushdown declines or faults.
+  // Honors ScanSpec::aggregate (partial aggregation at the store,
+  // SAG1-decoded into agg_groups) and ScanSpec::limit; both degrade to
+  // the batch scan when pushdown declines or faults.
   Result<PartitionScanResult> ScanPartition(const Partition& partition,
                                             const ScanSpec& spec) override;
 

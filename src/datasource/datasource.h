@@ -49,17 +49,12 @@ struct ScanSpec {
 };
 
 struct PartitionScanResult {
-  // Typed rows in required-column order. Sources on the columnar plane
-  // leave this empty and fill `batches` instead; a scan never populates
-  // both for the same records.
-  std::vector<Row> rows;
-  // Typed RecordBatches in required-column order — the columnar plane's
-  // native product.
+  // Typed RecordBatches in required-column order.
   std::vector<RecordBatch> batches;
   // True when the source already applied the selection filter exactly.
   bool filter_applied = false;
   // Aggregation pushdown: when `agg_applied` the partition arrived as
-  // per-group partial AggStates — `rows`/`batches` stay empty and
+  // per-group partial AggStates — `batches` stays empty and
   // `agg_rows` counts the selection-surviving rows folded into the
   // states (the scan's contribution to rows_seen/rows_passed).
   std::vector<AggPartialGroup> agg_groups;
@@ -75,22 +70,9 @@ struct PartitionScanResult {
   int requests = 0;
 
   int64_t TotalRows() const {
-    int64_t n = static_cast<int64_t>(rows.size());
+    int64_t n = 0;
     for (const RecordBatch& b : batches) n += b.num_rows();
     return n;
-  }
-
-  // Flattens `batches` into `rows` (appended) — the bridge for callers
-  // still on the row-at-a-time API.
-  void MaterializeRows() {
-    Row row;
-    for (const RecordBatch& b : batches) {
-      for (int64_t i = 0; i < b.num_rows(); ++i) {
-        b.ExtractRow(i, &row);
-        rows.push_back(row);
-      }
-    }
-    batches.clear();
   }
 };
 
@@ -127,20 +109,10 @@ class PartitionedRelation : public virtual BaseRelation {
   // Partition discovery (runs before the query is known, §V-B).
   virtual Result<std::vector<Partition>> Partitions() = 0;
 
-  // Scans one partition with projection+selection hints.
-  virtual Result<PartitionScanResult> ScanPartition(
-      const Partition& partition,
-      const std::vector<std::string>& required_columns,
-      const SourceFilter& filter) = 0;
-
-  // Rich scan: adds the aggregation/limit pushdown hints. The default
-  // forwards to the projection+selection form (extensions ignored), so
-  // existing sources keep working unchanged; sources that can push
-  // aggregates or limits override this one.
+  // Scans one partition with every pushdown hint in `spec`; a source
+  // ignores the hints it cannot honor and reports what it applied.
   virtual Result<PartitionScanResult> ScanPartition(const Partition& partition,
-                                                    const ScanSpec& spec) {
-    return ScanPartition(partition, spec.required_columns, spec.filter);
-  }
+                                                    const ScanSpec& spec) = 0;
 };
 
 }  // namespace scoop

@@ -411,13 +411,6 @@ Result<RecordBatch> ParquetDecodeBatch(
   return batch;
 }
 
-Result<std::vector<Row>> ParquetDecode(
-    std::string_view data, const std::vector<std::string>& required_columns) {
-  SCOOP_ASSIGN_OR_RETURN(RecordBatch batch,
-                         ParquetDecodeBatch(data, required_columns));
-  return batch.ToRows();
-}
-
 bool ParquetCanSkip(const SourceFilter& filter, const Schema& schema,
                     const std::vector<ParquetColumnStats>& stats) {
   using Op = SourceFilter::Op;

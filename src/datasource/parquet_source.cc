@@ -24,9 +24,7 @@ Result<std::vector<Partition>> ParquetDataSource::Partitions() {
 }
 
 Result<PartitionScanResult> ParquetDataSource::ScanPartition(
-    const Partition& partition,
-    const std::vector<std::string>& required_columns,
-    const SourceFilter& filter) {
+    const Partition& partition, const ScanSpec& spec) {
   PartitionScanResult result;
   result.raw_bytes = partition.length();
   result.filter_applied = false;  // row filters always re-run compute-side
@@ -37,14 +35,14 @@ Result<PartitionScanResult> ParquetDataSource::ScanPartition(
   result.bytes_transferred = data.size();
   result.requests = 1;
 
-  if (stats_skipping_ && !filter.IsTrue()) {
+  if (stats_skipping_ && !spec.filter.IsTrue()) {
     SCOOP_ASSIGN_OR_RETURN(ParquetInfo info, ParquetInspect(data));
-    if (ParquetCanSkip(filter, info.schema, info.stats)) {
+    if (ParquetCanSkip(spec.filter, info.schema, info.stats)) {
       return result;  // provably empty: decode nothing
     }
   }
   SCOOP_ASSIGN_OR_RETURN(RecordBatch batch,
-                         ParquetDecodeBatch(data, required_columns));
+                         ParquetDecodeBatch(data, spec.required_columns));
   result.batches.push_back(std::move(batch));
   return result;
 }
@@ -52,13 +50,17 @@ Result<PartitionScanResult> ParquetDataSource::ScanPartition(
 Result<std::vector<Row>> ParquetDataSource::ScanPruned(
     const std::vector<std::string>& required_columns) {
   SCOOP_ASSIGN_OR_RETURN(std::vector<Partition> partitions, Partitions());
+  ScanSpec spec;
+  spec.required_columns = required_columns;
   std::vector<Row> rows;
   for (const Partition& partition : partitions) {
-    SCOOP_ASSIGN_OR_RETURN(
-        PartitionScanResult scan,
-        ScanPartition(partition, required_columns, SourceFilter::True()));
-    scan.MaterializeRows();
-    for (Row& row : scan.rows) rows.push_back(std::move(row));
+    SCOOP_ASSIGN_OR_RETURN(PartitionScanResult scan,
+                           ScanPartition(partition, spec));
+    for (const RecordBatch& batch : scan.batches) {
+      for (int64_t i = 0; i < batch.num_rows(); ++i) {
+        batch.ExtractRow(i, &rows.emplace_back());
+      }
+    }
   }
   return rows;
 }

@@ -33,10 +33,10 @@ class ParquetDataSource : public PrunedScan,
   // byte range the way CSV text can).
   Result<std::vector<Partition>> Partitions() override;
 
-  Result<PartitionScanResult> ScanPartition(
-      const Partition& partition,
-      const std::vector<std::string>& required_columns,
-      const SourceFilter& filter) override;
+  // Honors projection and (with stats_skipping) object skipping; the
+  // aggregation and limit hints are left to the engine.
+  Result<PartitionScanResult> ScanPartition(const Partition& partition,
+                                            const ScanSpec& spec) override;
 
   Result<std::vector<Row>> Scan() override;
   Result<std::vector<Row>> ScanPruned(

@@ -48,6 +48,8 @@ HttpResponse QosMiddleware::Process(Request& request,
                 : admitted.decision == AdmitDecision::kDegrade ? "degrade"
                                                                : "shed");
   }
+  // The span times the decision only; the forwarded request has its own.
+  span.End();
   // Relay the queue-pressure signal into tier-gated pushdown policy.
   if (policies_ != nullptr) {
     policies_->SetTierGate(controller_->overloaded());

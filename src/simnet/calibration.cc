@@ -1,8 +1,8 @@
 #include "simnet/calibration.h"
 
 #include "common/metrics.h"
+#include "csv/batch_reader.h"
 #include "csv/csv_storlet.h"
-#include "csv/record_reader.h"
 #include "common/lz.h"
 #include "datasource/parquet_format.h"
 #include "workload/generator.h"
@@ -53,10 +53,10 @@ Result<CalibrationReport> RunCalibration(size_t sample_rows) {
 
   {
     Stopwatch watch;
-    CsvRowReader reader(csv, &schema);
-    Row row;
+    CsvBatchReader reader(csv, &schema);
+    RecordBatch batch;
     int64_t n = 0;
-    while (reader.Next(&row)) ++n;
+    while (reader.Next(&batch)) n += batch.num_rows();
     double seconds = std::max(watch.ElapsedSeconds(), 1e-9);
     report.spark_parse_MBps = static_cast<double>(csv.size()) / seconds / 1e6;
     if (n == 0) return Status::Internal("calibration parsed no rows");
@@ -68,12 +68,12 @@ Result<CalibrationReport> RunCalibration(size_t sample_rows) {
     report.parquet_compression_ratio =
         static_cast<double>(encoded.size()) / static_cast<double>(csv.size());
     Stopwatch watch;
-    SCOOP_ASSIGN_OR_RETURN(std::vector<Row> decoded,
-                           ParquetDecode(encoded, {}));
+    SCOOP_ASSIGN_OR_RETURN(RecordBatch decoded,
+                           ParquetDecodeBatch(encoded, {}));
     double seconds = std::max(watch.ElapsedSeconds(), 1e-9);
     report.parquet_decode_MBps =
         static_cast<double>(csv.size()) / seconds / 1e6;
-    if (decoded.size() != rows.size()) {
+    if (decoded.num_rows() != static_cast<int64_t>(rows.size())) {
       return Status::Internal("parquet roundtrip row-count mismatch");
     }
   }

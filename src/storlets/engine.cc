@@ -10,6 +10,9 @@ namespace scoop {
 
 namespace {
 
+// Storlet metadata travels as trailer headers under this prefix.
+constexpr std::string_view kMetaTrailerPrefix = "X-Object-Meta-";
+
 // Poisons `queue` on scope exit. Placed at the top of every stage thread:
 // if the stage dies without reaching its CloseWrite (a storlet "crash"),
 // the consumer gets an Aborted status instead of blocking forever on a
@@ -49,25 +52,6 @@ class CrashOnFailpointSink : public ByteSink {
  private:
   ByteSink* inner_;
   bool* crashed_;
-};
-
-// Tracks bytes the buffered pipeline holds resident, releasing them on
-// scope exit so early returns cannot leak gauge accounting.
-class GaugeHold {
- public:
-  explicit GaugeHold(Gauge* gauge) : gauge_(gauge) {}
-  ~GaugeHold() {
-    if (gauge_ != nullptr && held_ != 0) gauge_->Add(-held_);
-  }
-  void Acquire(int64_t bytes) {
-    held_ += bytes;
-    if (gauge_ != nullptr) gauge_->Add(bytes);
-  }
-  void Release(int64_t bytes) { Acquire(-bytes); }
-
- private:
-  Gauge* gauge_;
-  int64_t held_ = 0;
 };
 
 // Everything a running streaming pipeline owns: storlet instances, the
@@ -168,48 +152,19 @@ Result<SandboxResult> StorletEngine::RunPipeline(
     const std::string& account, const std::string& container,
     const std::vector<StorletInvocation>& invocations,
     std::string_view data) const {
-  SCOOP_FAILPOINT("engine.invoke");
-  StorletPolicy policy = policies_->Resolve(account, container);
-  // Same QoS gate as the streaming form; the buffered run completes
-  // within this call, so the slot is held for the function's scope.
-  std::shared_ptr<void> qos_ticket;
-  if (gate_ && !invocations.empty()) {
-    SCOOP_ASSIGN_OR_RETURN(qos_ticket, gate_(account));
+  // The streaming pipeline drained within this call, so its input can
+  // borrow the caller's bytes.
+  SCOOP_ASSIGN_OR_RETURN(
+      StreamingPipeline pipeline,
+      RunPipelineStreaming(account, container, invocations,
+                           std::make_shared<SharedBufferByteStream>(
+                               nullptr, data, chunk_size_)));
+  SandboxResult result;
+  SCOOP_ASSIGN_OR_RETURN(result.output, pipeline.output->ReadAll());
+  for (const auto& [name, value] : *pipeline.trailers) {
+    result.metadata[name.substr(kMetaTrailerPrefix.size())] = value;
   }
-  // The buffered form holds each stage's full input plus its full output
-  // resident at once; the gauge makes that visible next to the streaming
-  // form's bounded footprint.
-  GaugeHold held(metrics_ != nullptr
-                     ? metrics_->GetGauge("storlet.buffered_bytes")
-                     : nullptr);
-  SandboxResult accumulated;
-  accumulated.output.assign(data.data(), data.size());
-  held.Acquire(static_cast<int64_t>(accumulated.output.size()));
-  for (const StorletInvocation& invocation : invocations) {
-    if (!PolicyStore::Allows(policy, invocation.name)) {
-      return Status::Unauthorized("policy denies storlet '" +
-                                  invocation.name + "' on " + account + "/" +
-                                  container);
-    }
-    SCOOP_ASSIGN_OR_RETURN(std::unique_ptr<Storlet> storlet,
-                           registry_->Create(invocation.name));
-    SCOOP_ASSIGN_OR_RETURN(
-        SandboxResult stage,
-        sandbox_.Execute(*storlet, accumulated.output, invocation.params));
-    held.Acquire(static_cast<int64_t>(stage.output.size()));
-    held.Release(static_cast<int64_t>(accumulated.output.size()));
-    accumulated.output = std::move(stage.output);
-    for (auto& [key, value] : stage.metadata) {
-      accumulated.metadata[key] = std::move(value);
-    }
-    accumulated.usage.bytes_in += stage.usage.bytes_in;
-    accumulated.usage.bytes_out += stage.usage.bytes_out;
-    accumulated.usage.exec_ns += stage.usage.exec_ns;
-    for (auto& line : stage.log_lines) {
-      accumulated.log_lines.push_back(std::move(line));
-    }
-  }
-  return accumulated;
+  return result;
 }
 
 Result<StorletEngine::StreamingPipeline> StorletEngine::RunPipelineStreaming(
@@ -329,7 +284,7 @@ Result<StorletEngine::StreamingPipeline> StorletEngine::RunPipelineStreaming(
         // time anyone may read them.
         if (final_stage && final_status.ok()) {
           for (const auto& [key, value] : r->metadata) {
-            r->trailers->Set("X-Object-Meta-" + key, value);
+            r->trailers->Set(std::string(kMetaTrailerPrefix) + key, value);
           }
         }
       }

@@ -44,8 +44,10 @@ class StorletEngine {
   static Result<std::vector<StorletInvocation>> ParseInvocations(
       const Headers& headers);
 
-  // Runs the pipeline over `data` for the given scope; enforces policy.
-  // On success the final stage's output replaces the data.
+  // Runs the pipeline over `data` for the given scope and returns the
+  // final stage's whole output with the accumulated storlet metadata: the
+  // streaming form below, drained within the call. Policy, the QoS gate
+  // and the sandbox limits apply exactly as there.
   Result<SandboxResult> RunPipeline(
       const std::string& account, const std::string& container,
       const std::vector<StorletInvocation>& invocations,
@@ -88,12 +90,11 @@ class StorletEngine {
   // storlet middleware records its own latency histograms here.
   MetricRegistry* metrics() const { return metrics_; }
 
-  // QoS hook: called once per pipeline run (buffered or streaming, when
-  // at least one storlet would execute) before any thread launches or
-  // byte moves. Returns an opaque ticket that is held until the run is
-  // torn down — for the streaming form that means until the consumer has
-  // drained (or dropped) the output stream, so a granted slot covers the
-  // storlet's whole execution, not just its launch. An error refuses the
+  // QoS hook: called once per pipeline run (when at least one storlet
+  // would execute) before any thread launches or byte moves. Returns an
+  // opaque ticket that is held until the run is torn down — until the
+  // consumer has drained (or dropped) the output stream, so a granted
+  // slot covers the storlet's whole execution, not just its launch. An error refuses the
   // invocation: ResourceExhausted / DeadlineExceeded are the polite
   // refusals the middleware degrades on. Keeping the hook a plain
   // function preserves the layering (storlets never sees qos).

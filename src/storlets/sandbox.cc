@@ -2,12 +2,16 @@
 
 namespace scoop {
 
-Result<SandboxResult> Sandbox::FinishRun(Storlet& storlet,
-                                         Status invoke_status,
-                                         StorletInputStream& in,
-                                         StorletOutputStream& out,
-                                         StorletLogger& logger,
-                                         uint64_t exec_ns) const {
+Result<SandboxResult> Sandbox::ExecuteStreaming(
+    Storlet& storlet, StorletInputStream& in, StorletOutputStream& out,
+    const StorletParams& params) const {
+  StorletLogger logger;
+
+  Stopwatch watch;
+  Status status = storlet.Invoke(in, out, params, logger);
+  out.Flush();
+  uint64_t exec_ns = static_cast<uint64_t>(watch.ElapsedSeconds() * 1e9);
+
   if (metrics_ != nullptr) {
     metrics_->GetCounter("storlet.invocations")->Increment();
     metrics_->GetCounter("storlet.bytes_in")
@@ -17,13 +21,13 @@ Result<SandboxResult> Sandbox::FinishRun(Storlet& storlet,
     metrics_->GetCounter("storlet.exec_ns")
         ->Add(static_cast<int64_t>(exec_ns));
   }
-  auto fail = [&](Status status) -> Result<SandboxResult> {
+  auto fail = [&](Status error) -> Result<SandboxResult> {
     if (metrics_ != nullptr) {
       metrics_->GetCounter("storlet.failures")->Increment();
     }
-    return status;
+    return error;
   };
-  if (!invoke_status.ok()) return fail(invoke_status);
+  if (!status.ok()) return fail(status);
   // A failed upstream read looked like EOF to the storlet; don't let a
   // silently truncated input masquerade as a successful (partial) run.
   if (!in.status().ok()) return fail(in.status());
@@ -45,43 +49,6 @@ Result<SandboxResult> Sandbox::FinishRun(Storlet& storlet,
   result.usage.exec_ns = exec_ns;
   result.log_lines = logger.lines();
   return result;
-}
-
-Result<SandboxResult> Sandbox::Execute(Storlet& storlet,
-                                       std::string_view input,
-                                       const StorletParams& params) const {
-  StorletInputStream in(input);
-  StorletOutputStream out;
-  StorletLogger logger;
-
-  Stopwatch watch;
-  Status status = storlet.Invoke(in, out, params, logger);
-  uint64_t exec_ns = static_cast<uint64_t>(watch.ElapsedSeconds() * 1e9);
-
-  // The buffered form charges the filter for all object bytes shipped to
-  // it, read or not; FinishRun meters only what was consumed.
-  size_t unread = input.size() - in.bytes_consumed();
-  if (metrics_ != nullptr && unread > 0) {
-    metrics_->GetCounter("storlet.bytes_in")->Add(static_cast<int64_t>(unread));
-  }
-  SCOOP_ASSIGN_OR_RETURN(SandboxResult result,
-                         FinishRun(storlet, status, in, out, logger, exec_ns));
-  result.usage.bytes_in = input.size();
-  result.output = out.TakeBuffer();
-  return result;
-}
-
-Result<SandboxResult> Sandbox::ExecuteStreaming(
-    Storlet& storlet, StorletInputStream& in, StorletOutputStream& out,
-    const StorletParams& params) const {
-  StorletLogger logger;
-
-  Stopwatch watch;
-  Status status = storlet.Invoke(in, out, params, logger);
-  out.Flush();
-  uint64_t exec_ns = static_cast<uint64_t>(watch.ElapsedSeconds() * 1e9);
-
-  return FinishRun(storlet, status, in, out, logger, exec_ns);
 }
 
 }  // namespace scoop

@@ -50,30 +50,19 @@ class Sandbox {
   Sandbox(SandboxLimits limits, MetricRegistry* metrics)
       : limits_(limits), metrics_(metrics) {}
 
-  // Runs `storlet` over `input`. The output cap is checked after the run
-  // (filters are single-pass and bounded by input in practice).
-  Result<SandboxResult> Execute(Storlet& storlet, std::string_view input,
-                                const StorletParams& params) const;
-
-  // Streaming variant: runs `storlet` over caller-provided streams (a
-  // pipelined stage reading a ByteStream and writing a queue sink). The
-  // result's `output` is empty — bytes went to the sink as produced.
-  // Metering and limits match Execute; additionally an upstream read
-  // error or a downstream sink error fails the stage. Note exec_ns is
-  // wall-clock and so includes time blocked on queue backpressure.
+  // Runs `storlet` over caller-provided streams (a pipelined stage
+  // reading a ByteStream and writing a queue sink). The result's `output`
+  // is empty — bytes went to the sink as produced. The output cap is
+  // checked after the run (filters are single-pass and bounded by input
+  // in practice); an upstream read error or a downstream sink error also
+  // fails the stage. Note exec_ns is wall-clock and so includes time
+  // blocked on queue backpressure.
   Result<SandboxResult> ExecuteStreaming(Storlet& storlet,
                                          StorletInputStream& in,
                                          StorletOutputStream& out,
                                          const StorletParams& params) const;
 
  private:
-  // Shared metering + limit enforcement once a run has finished.
-  Result<SandboxResult> FinishRun(Storlet& storlet, Status invoke_status,
-                                  StorletInputStream& in,
-                                  StorletOutputStream& out,
-                                  StorletLogger& logger,
-                                  uint64_t exec_ns) const;
-
   SandboxLimits limits_;
   MetricRegistry* metrics_;
 };

@@ -484,16 +484,18 @@ TEST_F(StreamingEquivalenceTest, PeakBufferingIsChunkBound) {
   EXPECT_GT(cluster_->metrics().GetCounter("storlet.stage1.chunks")->value(),
             1);
 
-  // The buffered engine path over the same data holds whole stage copies:
-  // its peak is at least the object size.
+  // RunPipeline (the PUT/ETL form) drains the same streaming pipeline
+  // within the call, so the same chunk bound holds for it.
   cluster_->metrics().ResetAll();
   std::vector<StorletInvocation> invocations = {
       {"grep", {{"needle", "keep"}}}, {"upper", {}}};
-  auto buffered =
+  auto drained =
       cluster_->engine().RunPipeline("acct", "data", invocations, payload_);
-  ASSERT_TRUE(buffered.ok()) << buffered.status();
-  EXPECT_GE(gauge->peak(), static_cast<int64_t>(payload_.size()));
-  EXPECT_EQ(gauge->value(), 0);
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  EXPECT_EQ(drained->output, response.body());
+  EXPECT_GT(gauge->peak(), 0);
+  EXPECT_LE(gauge->peak(), static_cast<int64_t>(2 * 3 * kChunk));
+  EXPECT_EQ(gauge->value(), 0) << "buffered bytes must drain to zero";
 }
 
 TEST_F(StreamingEquivalenceTest, CrashedStagePoisonsQueueInsteadOfHanging) {

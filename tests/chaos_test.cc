@@ -15,11 +15,11 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "csv/record_reader.h"
 #include "objectstore/cluster.h"
 #include "scoop/scoop.h"
 #include "sql/executor.h"
 #include "storlets/headers.h"
+#include "tests/reference/scalar_row_reader.h"
 #include "workload/generator.h"
 
 namespace scoop {

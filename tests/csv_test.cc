@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "columnar/batch_wire.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "csv/agg_storlet.h"
@@ -9,6 +10,7 @@
 #include "csv/record_reader.h"
 #include "sql/schema.h"
 #include "storlets/storlet.h"
+#include "tests/reference/scalar_row_reader.h"
 
 namespace scoop {
 namespace {
@@ -51,7 +53,20 @@ TEST(CsvWriterTest, RoundTripsThroughParser) {
   for (size_t i = 0; i < fields.size(); ++i) EXPECT_EQ(parsed[i], fields[i]);
 }
 
-TEST(CsvRowReaderTest, TypedRowsAndMalformed) {
+// Every typed row of `data` through the columnar scanner.
+std::vector<Row> ScanRows(std::string_view data, const Schema& schema,
+                          CsvScanStats* stats) {
+  CsvBatchReader reader(data, &schema);
+  std::vector<Row> rows;
+  RecordBatch batch;
+  while (reader.Next(&batch)) {
+    for (Row& row : batch.ToRows()) rows.push_back(std::move(row));
+  }
+  *stats = reader.stats();
+  return rows;
+}
+
+TEST(CsvBatchReaderTest, TypedRowsAndMalformed) {
   Schema schema({{"id", ColumnType::kInt64},
                  {"name", ColumnType::kString},
                  {"score", ColumnType::kDouble}});
@@ -62,12 +77,10 @@ TEST(CsvRowReaderTest, TypedRowsAndMalformed) {
       "3,carol,notnum\n" // unparseable double -> null
       "\n"               // blank line skipped
       "4,dave,1.25";     // unterminated final record
-  CsvRowReader reader(data, &schema);
-  std::vector<Row> rows;
-  Row row;
-  while (reader.Next(&row)) rows.push_back(row);
+  CsvScanStats stats;
+  std::vector<Row> rows = ScanRows(data, schema, &stats);
   ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(reader.malformed_rows(), 1);
+  EXPECT_EQ(stats.malformed_rows, 1);
   EXPECT_EQ(rows[0][0].AsInt64(), 1);
   EXPECT_EQ(rows[0][1].AsString(), "alice");
   EXPECT_DOUBLE_EQ(rows[0][2].AsDoubleExact(), 3.5);
@@ -76,15 +89,13 @@ TEST(CsvRowReaderTest, TypedRowsAndMalformed) {
   EXPECT_EQ(rows[3][0].AsInt64(), 4);
 }
 
-TEST(CsvRowReaderTest, HandlesCrLf) {
+TEST(CsvBatchReaderTest, HandlesCrLf) {
   Schema schema({{"a", ColumnType::kString}});
-  CsvRowReader reader("x\r\ny\r\n", &schema);
-  Row row;
-  ASSERT_TRUE(reader.Next(&row));
-  EXPECT_EQ(row[0].AsString(), "x");
-  ASSERT_TRUE(reader.Next(&row));
-  EXPECT_EQ(row[0].AsString(), "y");
-  EXPECT_FALSE(reader.Next(&row));
+  CsvScanStats stats;
+  std::vector<Row> rows = ScanRows("x\r\ny\r\n", schema, &stats);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].AsString(), "x");
+  EXPECT_EQ(rows[1][0].AsString(), "y");
 }
 
 // --- batch/row engine equivalence ------------------------------------------
@@ -223,13 +234,16 @@ TEST(AppendCsvFieldTest, RoundTripsThroughParser) {
 
 class CsvStorletTest : public ::testing::Test {
  protected:
-  Result<std::string> Run(const std::string& data, StorletParams params) {
+  Result<std::string> Run(const std::string& data, StorletParams params,
+                          std::map<std::string, std::string>* metadata =
+                              nullptr) {
     CsvStorlet storlet;
     StorletInputStream in(data);
     StorletOutputStream out;
     StorletLogger logger;
     Status status = storlet.Invoke(in, out, params, logger);
     if (!status.ok()) return status;
+    if (metadata != nullptr) *metadata = out.metadata();
     return out.TakeBuffer();
   }
 
@@ -296,41 +310,87 @@ TEST_F(CsvStorletTest, MalformedRowsDroppedWhenFiltering) {
   EXPECT_EQ(*out, "1\n2\n");
 }
 
-TEST_F(CsvStorletTest, RowEngineMatchesBatchEngineByteForByte) {
-  // engine=row keeps the pre-columnar loop; the default engine runs the
-  // stream batcher. Every param shape must produce identical bytes.
+TEST_F(CsvStorletTest, ParamShapesEmitPinnedBytes) {
+  // Literal output bytes for every parameter shape over data carrying a
+  // quoted comma, a malformed record, a CRLF ending and a blank line.
   const std::string data =
       "1,Paris,10.5\n"
       "2,\"Rotter,dam\",20.0\n"
       "broken\n"
-      "3,Rotterdam,30.25\n"
+      "3,Rotterdam,30.25\r\n"
       "\n"
       "4,Nice,40.0\n";
-  const std::vector<StorletParams> shapes = {
-      {{"schema", schema_spec_}},
-      {{"schema", schema_spec_}, {"selection", "(gt load 15)"}},
-      {{"schema", schema_spec_}, {"projection", "city,vid"}},
-      {{"schema", schema_spec_},
-       {"projection", "load"},
-       {"selection", "(like city \"Rotter%\")"}},
+  struct Case {
+    StorletParams params;
+    std::string bytes;
+    std::string rows_out;
   };
-  for (const StorletParams& shape : shapes) {
-    StorletParams row_params = shape;
-    row_params["engine"] = "row";
-    auto batch_out = Run(data, shape);
-    auto row_out = Run(data, row_params);
-    ASSERT_TRUE(batch_out.ok()) << batch_out.status();
-    ASSERT_TRUE(row_out.ok()) << row_out.status();
-    EXPECT_EQ(*batch_out, *row_out);
+  const std::vector<Case> cases = {
+      // Identity: verbatim line copy, malformed record included, CR and
+      // blank line dropped.
+      {{{"schema", schema_spec_}},
+       "1,Paris,10.5\n2,\"Rotter,dam\",20.0\nbroken\n3,Rotterdam,30.25\n"
+       "4,Nice,40.0\n",
+       "5"},
+      {{{"schema", schema_spec_}, {"selection", "(gt load 15)"}},
+       "2,\"Rotter,dam\",20.0\n3,Rotterdam,30.25\n4,Nice,40.0\n",
+       "3"},
+      {{{"schema", schema_spec_}, {"projection", "city,vid"}},
+       "Paris,1\n\"Rotter,dam\",2\nRotterdam,3\nNice,4\n",
+       "4"},
+      {{{"schema", schema_spec_},
+        {"projection", "load"},
+        {"selection", "(like city \"Rotter%\")"}},
+       "20.0\n30.25\n",
+       "2"},
+  };
+  for (const Case& c : cases) {
+    std::map<std::string, std::string> metadata;
+    auto out = Run(data, c.params, &metadata);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(*out, c.bytes);
+    EXPECT_EQ(metadata["rows-in"], "5");
+    EXPECT_EQ(metadata["rows-out"], c.rows_out);
+    EXPECT_EQ(metadata.count("limit-hit"), 0u);
   }
+
+  // A capped identity copy counts the malformed record as a row out.
+  std::map<std::string, std::string> metadata;
+  auto capped =
+      Run(data, {{"schema", schema_spec_}, {"limit", "3"}}, &metadata);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(*capped, "1,Paris,10.5\n2,\"Rotter,dam\",20.0\nbroken\n");
+  EXPECT_EQ(metadata["rows-out"], "3");
+  EXPECT_EQ(metadata["limit-hit"], "1");
 }
 
-TEST_F(CsvStorletTest, RowEngineCannotEmitBatchFrames) {
-  EXPECT_FALSE(Run(data_, {{"schema", schema_spec_},
-                           {"projection", "vid"},
-                           {"engine", "row"},
-                           {"output", "batch"}})
-                   .ok());
+TEST_F(CsvStorletTest, IdentityShapeWithBatchOutputEmitsFrames) {
+  // output=batch never takes the text identity copy: the frames carry the
+  // well-formed records only, as raw string columns.
+  const std::string data = "1,Paris,10.5\nbroken\n2,Nice,20.0\r\n";
+  auto out = Run(data, {{"schema", schema_spec_}, {"output", "batch"}});
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_TRUE(LooksLikeBatchWire(*out));
+  BatchWireReader wire;
+  wire.Feed(*out);
+  RecordBatch batch;
+  std::vector<std::string> rows;
+  for (;;) {
+    auto got = wire.Next(&batch);
+    ASSERT_TRUE(got.ok()) << got.status();
+    if (!*got) break;
+    for (int64_t r = 0; r < batch.num_rows(); ++r) {
+      std::string joined;
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        ASSERT_EQ(batch.column(c).type(), ColumnType::kString);
+        if (c > 0) joined += "|";
+        joined += batch.column(c).StringAt(r);
+      }
+      rows.push_back(std::move(joined));
+    }
+  }
+  EXPECT_EQ(wire.buffered_bytes(), 0u);
+  EXPECT_EQ(rows, (std::vector<std::string>{"1|Paris|10.5", "2|Nice|20.0"}));
 }
 
 // The batched storlet pipeline: csv(output=batch) frames feeding the agg
@@ -437,6 +497,129 @@ TEST_F(StorletPipelineTest, TruncatedBatchFrameIsAnError) {
                      {"group", "city"},
                      {"aggs", "count:*"}});
   EXPECT_FALSE(out.ok());
+}
+
+// Agg over SBT1 frames must fold exactly what it folds over the
+// equivalent CSV text, in both output modes, for every frame shape the
+// wire decoder handles: whole frames rejected by the agg-side selection,
+// schema columns the frame lacks, and typed (non-string) frame columns.
+class AggInputParityTest : public StorletPipelineTest {
+ protected:
+  // Runs the agg storlet over `frames` (input=batch) and over `text`
+  // (input=text) in both output modes and expects identical bytes.
+  // Returns the csv-mode output.
+  std::string ExpectParity(const std::string& frames, const std::string& text,
+                           const StorletParams& params) {
+    std::string csv_output;
+    for (const char* mode : {"csv", "partials"}) {
+      SCOPED_TRACE(mode);
+      GroupAggStorlet agg;
+      StorletParams wire_params = params;
+      wire_params["output"] = mode;
+      wire_params["input"] = "batch";
+      StorletParams text_params = wire_params;
+      text_params["input"] = "text";
+      auto from_wire = RunOne(agg, frames, wire_params);
+      auto from_text = RunOne(agg, text, text_params);
+      EXPECT_TRUE(from_wire.ok()) << from_wire.status();
+      EXPECT_TRUE(from_text.ok()) << from_text.status();
+      if (!from_wire.ok() || !from_text.ok()) return "";
+      EXPECT_EQ(*from_wire, *from_text);
+      EXPECT_FALSE(from_text->empty());
+      if (std::string_view(mode) == "csv") csv_output = *from_text;
+    }
+    return csv_output;
+  }
+};
+
+TEST_F(AggInputParityTest, SelectionRejectsEveryRowOfOneFrame) {
+  CsvStorlet csv;
+  StorletParams text_params = {{"schema", schema_spec_},
+                               {"projection", "city,load"}};
+  StorletParams batch_params = text_params;
+  batch_params["output"] = "batch";
+  // One frame per part: the first frame holds only rows the agg-side
+  // selection rejects.
+  const std::string parts[] = {"1,Paris,1.5\n2,Nice,2.5\n",
+                               "3,Paris,30.0\n4,\"Rotter,dam\",40.0\n"};
+  std::string text;
+  std::string frames;
+  for (const std::string& part : parts) {
+    auto t = RunOne(csv, part, text_params);
+    auto f = RunOne(csv, part, batch_params);
+    ASSERT_TRUE(t.ok() && f.ok());
+    text += *t;
+    frames += *f;
+  }
+  EXPECT_EQ(ExpectParity(frames, text,
+                         {{"schema", "city:string,load:double"},
+                          {"group", "city"},
+                          {"aggs", "sum:load,count:*"},
+                          {"selection", "(gt load 5)"}}),
+            "Paris,30,1\n\"Rotter,dam\",40,1\n");
+}
+
+TEST_F(AggInputParityTest, SchemaColumnAbsentFromFrameReadsAsNull) {
+  CsvStorlet csv;
+  StorletParams text_params = {{"schema", schema_spec_},
+                               {"projection", "city,load"}};
+  StorletParams batch_params = text_params;
+  batch_params["output"] = "batch";
+  auto text = RunOne(csv, data_, text_params);
+  auto frames = RunOne(csv, data_, batch_params);
+  ASSERT_TRUE(text.ok() && frames.ok());
+  // The text twin spells the missing trailing vid column as empty fields.
+  std::string padded;
+  for (char ch : *text) {
+    if (ch == '\n') padded += ',';
+    padded += ch;
+  }
+  EXPECT_EQ(ExpectParity(*frames, padded,
+                         {{"schema", "city:string,load:double,vid:int64"},
+                          {"group", "city"},
+                          {"aggs", "sum:load,count:vid,max:vid"}}),
+            "Nice,40,0,\nParis,13,0,\n\"Rotter,dam\",50.25,0,\n");
+  ExpectParity(*frames, padded,
+               {{"schema", "city:string,load:double,vid:int64"},
+                {"group", "vid"},
+                {"aggs", "count:*,sum:load"},
+                {"selection", "(gt load 5)"}});
+}
+
+TEST_F(AggInputParityTest, NonStringFrameColumnsRenderLikeText) {
+  // Rows in the agg schema's column order; the frame carries the same
+  // values typed and in another column order.
+  const Schema agg_schema({{"vid", ColumnType::kInt64},
+                           {"city", ColumnType::kString},
+                           {"load", ColumnType::kDouble}});
+  const std::vector<Row> rows = {
+      {Value(int64_t{1}), Value(std::string("Paris")), Value(10.5)},
+      {Value(int64_t{2}), Value(std::string("Nice")), Value(40.0)},
+      {Value(int64_t{3}), Value(std::string("Paris")), Value::Null()},
+      {Value::Null(), Value(std::string("Nice")), Value(2.25)},
+      {Value(int64_t{5}), Value(std::string("Rotter,dam")), Value(0.125)},
+  };
+  const Schema frame_schema({{"load", ColumnType::kDouble},
+                             {"city", ColumnType::kString},
+                             {"vid", ColumnType::kInt64}});
+  std::vector<Row> frame_rows;
+  std::string text;
+  for (const Row& row : rows) {
+    frame_rows.push_back({row[2], row[1], row[0]});
+    WriteCsvRow(row, &text);
+  }
+  std::string frames;
+  AppendBatchFrame(RecordBatch::FromRows(frame_schema, frame_rows), &frames);
+  EXPECT_EQ(ExpectParity(frames, text,
+                         {{"schema", agg_schema.ToSpec()},
+                          {"group", "city"},
+                          {"aggs", "sum:load,count:vid,min:vid"},
+                          {"selection", "(ge load 1)"}}),
+            "Nice,42.25,1,2\nParis,10.5,1,1\n");
+  ExpectParity(frames, text,
+               {{"schema", agg_schema.ToSpec()},
+                {"group", "vid"},
+                {"aggs", "sum:load,count:*"}});
 }
 
 class EtlStorletTest : public ::testing::Test {

@@ -240,9 +240,12 @@ TEST_F(DatasourceTest, ParquetStatsSkippingAvoidsDecode) {
   ASSERT_TRUE(filter.ok());
   auto partitions = source.Partitions();
   ASSERT_TRUE(partitions.ok());
+  ScanSpec spec;
+  spec.required_columns = {"vid"};
+  spec.filter = *filter;
   size_t total_rows = 0;
   for (const Partition& p : *partitions) {
-    auto scan = source.ScanPartition(p, {"vid"}, *filter);
+    auto scan = source.ScanPartition(p, spec);
     ASSERT_TRUE(scan.ok());
     EXPECT_FALSE(scan->filter_applied);  // parquet never filters rows
     total_rows += static_cast<size_t>(scan->TotalRows());

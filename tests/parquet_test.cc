@@ -94,12 +94,19 @@ std::vector<Row> TestRows(int n) {
   return rows;
 }
 
+// Decodes through the batch decoder and materializes rows to compare.
+Result<std::vector<Row>> DecodeRows(
+    std::string_view data, const std::vector<std::string>& columns) {
+  SCOOP_ASSIGN_OR_RETURN(RecordBatch batch, ParquetDecodeBatch(data, columns));
+  return batch.ToRows();
+}
+
 TEST(ParquetTest, RoundtripAllColumns) {
   Schema schema = TestSchema();
   std::vector<Row> rows = TestRows(500);
   auto encoded = ParquetEncode(schema, rows);
   ASSERT_TRUE(encoded.ok());
-  auto decoded = ParquetDecode(*encoded, {});
+  auto decoded = DecodeRows(*encoded, {});
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -115,12 +122,12 @@ TEST(ParquetTest, ColumnPruning) {
   std::vector<Row> rows = TestRows(100);
   auto encoded = ParquetEncode(schema, rows);
   ASSERT_TRUE(encoded.ok());
-  auto decoded = ParquetDecode(*encoded, {"load", "vid"});
+  auto decoded = DecodeRows(*encoded, {"load", "vid"});
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ((*decoded)[1].size(), 2u);
   EXPECT_EQ((*decoded)[1][0].Compare(rows[1][2]), 0);  // load first
   EXPECT_EQ((*decoded)[1][1].Compare(rows[1][0]), 0);  // vid second
-  EXPECT_FALSE(ParquetDecode(*encoded, {"ghost"}).ok());
+  EXPECT_FALSE(DecodeRows(*encoded, {"ghost"}).ok());
 }
 
 TEST(ParquetTest, DictionaryEncodingKicksIn) {
@@ -133,7 +140,7 @@ TEST(ParquetTest, DictionaryEncodingKicksIn) {
   auto encoded = ParquetEncode(schema, rows);
   ASSERT_TRUE(encoded.ok());
   EXPECT_LT(encoded->size(), 5000u);  // < 1 byte per row
-  auto decoded = ParquetDecode(*encoded, {});
+  auto decoded = DecodeRows(*encoded, {});
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ((*decoded)[1][0].AsString(), "Rotterdam");
   EXPECT_EQ((*decoded)[2][0].AsString(), "Paris");
@@ -158,14 +165,14 @@ TEST(ParquetTest, RejectsCorruptObjects) {
   auto encoded = ParquetEncode(schema, TestRows(10));
   ASSERT_TRUE(encoded.ok());
   std::string truncated = encoded->substr(0, encoded->size() / 2);
-  EXPECT_FALSE(ParquetDecode(truncated, {}).ok());
+  EXPECT_FALSE(DecodeRows(truncated, {}).ok());
 }
 
 TEST(ParquetTest, EmptyTable) {
   Schema schema = TestSchema();
   auto encoded = ParquetEncode(schema, {});
   ASSERT_TRUE(encoded.ok());
-  auto decoded = ParquetDecode(*encoded, {});
+  auto decoded = DecodeRows(*encoded, {});
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->empty());
 }

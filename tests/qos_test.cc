@@ -8,13 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/sync.h"
+#include "common/trace.h"
 #include "objectstore/auth.h"
 #include "objectstore/http.h"
 #include "qos/qos.h"
@@ -174,12 +175,12 @@ TEST(QosQueueTest, DispatchOrderFollowsVirtualTimeWeights) {
   auto held = controller.AcquireStorletSlot("vip");
   ASSERT_TRUE(held.ok()) << held.status();
 
-  std::mutex order_mu;
+  Mutex order_mu;
   std::vector<std::string> order;
   auto waiter = [&](const std::string& account) {
     auto ticket = controller.AcquireStorletSlot(account);
     ASSERT_TRUE(ticket.ok()) << account << ": " << ticket.status();
-    std::lock_guard<std::mutex> lock(order_mu);
+    MutexLock lock(order_mu);
     order.push_back(account);
     // The ticket dies here, releasing the slot to the next waiter.
   };
@@ -507,6 +508,38 @@ TEST_F(QosEndToEndTest, QueueFaultShedsEtlPutWithHintButOnlyDegradesGets) {
   HttpResponse ok = RawSend(cluster_->swift(), light_token_, std::move(put));
   EXPECT_TRUE(ok.ok()) << ok.status;
   EXPECT_TRUE(light_->GetObject("meters", "etl-new.csv").ok());
+}
+
+TEST_F(QosEndToEndTest, AdmitSpanEndsBeforeTheObjectServerStarts) {
+  // qos.admit times the admission decision only, not the request it
+  // forwards: the span must close before the object server of the same
+  // trace starts serving.
+  TraceCollector& traces = cluster_->traces();
+  traces.Clear();
+  traces.Enable();
+  Request request = PushdownGet("lacct", schema_);
+  {
+    TraceSpan root("test.root");
+    StampTraceContext(root.context(), &request.headers);
+    HttpResponse r =
+        RawSend(cluster_->swift(), light_token_, std::move(request));
+    EXPECT_EQ(r.status, 200);
+  }
+  traces.Disable();
+  std::vector<Span> spans = traces.Snapshot();
+  traces.Clear();
+
+  const Span* admit = nullptr;
+  const Span* object = nullptr;
+  for (const Span& s : spans) {
+    if (s.name == "qos.admit") admit = &s;
+    if (s.name == "objectserver.request" && object == nullptr) object = &s;
+  }
+  ASSERT_NE(admit, nullptr) << "no qos.admit span collected";
+  ASSERT_NE(object, nullptr) << "no objectserver.request span collected";
+  EXPECT_EQ(admit->trace_id, object->trace_id);
+  EXPECT_LE(admit->end_ns, object->start_ns)
+      << "qos.admit stayed open across the forwarded request";
 }
 
 // ---------------------------------------------------------------------------

@@ -123,9 +123,14 @@ TEST(SandboxTest, MetersUsage) {
   MetricRegistry metrics;
   Sandbox sandbox(SandboxLimits{}, &metrics);
   UpperStorlet storlet;
-  auto result = sandbox.Execute(storlet, "abc", {});
+  StorletInputStream in(std::string_view("abc"));
+  std::string output;
+  StringByteSink sink(&output);
+  StorletOutputStream out(&sink);
+  auto result = sandbox.ExecuteStreaming(storlet, in, out, {});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->output, "ABC");
+  EXPECT_EQ(output, "ABC");
+  EXPECT_TRUE(result->output.empty()) << "bytes went to the sink";
   EXPECT_EQ(result->usage.bytes_in, 3u);
   EXPECT_EQ(result->usage.bytes_out, 3u);
   EXPECT_EQ(metrics.GetCounter("storlet.invocations")->value(), 1);
@@ -139,9 +144,51 @@ TEST(SandboxTest, EnforcesOutputCap) {
   limits.max_output_bytes = 2;
   Sandbox sandbox(limits, &metrics);
   UpperStorlet storlet;
-  auto result = sandbox.Execute(storlet, "abcdef", {});
+  StorletInputStream in(std::string_view("abcdef"));
+  std::string output;
+  StringByteSink sink(&output);
+  StorletOutputStream out(&sink);
+  auto result = sandbox.ExecuteStreaming(storlet, in, out, {});
   EXPECT_TRUE(result.status().IsResourceExhausted());
   EXPECT_EQ(metrics.GetCounter("storlet.failures")->value(), 1);
+}
+
+// RunPipeline (the PUT/ETL entry point) drains the streaming runner: the
+// policy refusal, the sandbox output cap and the storlet metadata must
+// come out of it as they do on every other run.
+TEST(EngineTest, RunPipelineKeepsPolicyOutputCapAndMetadata) {
+  auto registry = std::make_shared<StorletRegistry>();
+  ASSERT_TRUE(registry->RegisterFactory("csvstorlet", CsvStorlet::Make).ok());
+  ASSERT_TRUE(registry->Deploy("csvstorlet").ok());
+  auto policies = std::make_shared<PolicyStore>();
+  MetricRegistry metrics;
+  SandboxLimits limits;
+  limits.max_output_bytes = 16;
+  StorletEngine engine(registry, policies, &metrics, limits);
+  engine.set_chunk_size(8);  // several chunks even for this small input
+
+  const std::string data = "1,Paris\nbroken\n2,Nice\n";
+  const std::vector<StorletInvocation> filter = {
+      {"csvstorlet",
+       {{"schema", "vid:int64,city:string"}, {"selection", "(gt vid 1)"}}}};
+  auto filtered = engine.RunPipeline("acct", "data", filter, data);
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  EXPECT_EQ(filtered->output, "2,Nice\n");
+  EXPECT_EQ(filtered->metadata.at("rows-in"), "3");
+  EXPECT_EQ(filtered->metadata.at("rows-out"), "1");
+
+  // The identity copy emits all 22 bytes, over the 16-byte cap.
+  const std::vector<StorletInvocation> copy = {
+      {"csvstorlet", {{"schema", "vid:int64,city:string"}}}};
+  auto capped = engine.RunPipeline("acct", "data", copy, data);
+  EXPECT_TRUE(capped.status().IsResourceExhausted()) << capped.status();
+
+  StorletPolicy off;
+  off.pushdown_enabled = false;
+  policies->SetContainerPolicy("acct", "data", off);
+  auto denied = engine.RunPipeline("acct", "data", filter, data);
+  EXPECT_TRUE(denied.status().IsUnauthorized()) << denied.status();
+  EXPECT_EQ(metrics.GetGauge("storlet.buffered_bytes")->value(), 0);
 }
 
 TEST(EngineTest, ParseInvocationsSingle) {

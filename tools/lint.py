@@ -21,6 +21,9 @@ Checks (each finding is `file:line: [check] message`, exit 1 on any):
                        src/columnar/simd.{h,cc}. Platform dispatch lives
                        behind ScanCsvStructural; nothing else may grow an
                        ISA dependency.
+  tests-include        a src/ file including from tests/ (the frozen
+                       reference code in tests/reference/ is test and
+                       bench only; production must never link it).
   banned-function      non-reentrant / nondeterministic / unsafe libc calls
                        (rand, strtok, localtime, sprintf, ...) — use
                        common/random.h, common/strings.h, snprintf.
@@ -68,6 +71,7 @@ INTRINSICS_INCLUDE_RE = re.compile(
     r"#\s*include\s*<(?:[emnpstwx]mmintrin|immintrin|avx\w*intrin|"
     r"x86intrin|x86gprintrin|intrin|arm_neon|arm_sve)\.h>"
 )
+TESTS_INCLUDE_RE = re.compile(r'#\s*include\s*"tests/')
 GUARD_RE = re.compile(r"#\s*(?:ifndef\s+SCOOP_\w+_H_|pragma\s+once)")
 BANNED_RE = re.compile(
     r"\b(?:std::)?(rand|srand|strtok|gets|sprintf|vsprintf|strcpy|strcat|"
@@ -146,6 +150,12 @@ def lint_file(rel_path, lines):
                 "through ScanCsvStructural so platform dispatch stays in "
                 "one place"))
 
+        if rel_path.startswith("src/") and TESTS_INCLUDE_RE.search(line):
+            findings.append((
+                lineno, "tests-include",
+                "src/ includes from tests/ — test and bench reference "
+                "code must stay out of production"))
+
         banned = BANNED_RE.search(line)
         if banned:
             findings.append((
@@ -218,6 +228,11 @@ SELF_TEST_CASES = [
     ("#include <arm_neon.h>", "src/foo/a.cc", "intrinsics-include"),
     ("#include <emmintrin.h>", "src/columnar/simd.cc", None),
     ("// #include <emmintrin.h> in a comment", "src/foo/a.cc", None),
+    ('#include "tests/reference/scalar_row_reader.h"', "src/csv/a.cc",
+     "tests-include"),
+    ('#include "tests/reference/scalar_row_reader.h"', "bench/a.cc", None),
+    ('#include "tests/reference/scalar_row_reader.h"', "tests/a_test.cc",
+     None),
     ("int x = rand();", "src/foo/a.cc", "banned-function"),
     ("tm* t = localtime(&now);", "src/foo/a.cc", "banned-function"),
     ("int x = rand();  // NOLINT: seeded elsewhere", "src/foo/a.cc", None),

@@ -19,6 +19,8 @@ the catalogs that give names meaning. Checks (all documented in DESIGN.md
   metric-name     metric literals vs METRICS.md
   header-name     wire-layer header names (src/net/, src/scoop/) vs the
                   docs/PROTOCOL.md header catalog
+  doc-path        every src/ path and module/name.* that DESIGN.md,
+                  README.md or METRICS.md names exists in the tree
 
 Engines: `--engine libclang` uses a real AST for class/member extraction
 when python3-libclang is importable; `--engine tokens` (the reference
@@ -45,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import common           # noqa: E402
 import compiledb        # noqa: E402
 import crosscheck       # noqa: E402
+import docpaths         # noqa: E402
 import engine_libclang  # noqa: E402
 import guarded_by       # noqa: E402
 import layering         # noqa: E402
@@ -53,7 +56,8 @@ import status_audit     # noqa: E402
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 ALL_CHECKS = ("layering", "guarded-by", "status-audit", "lock-rank",
-              "span-name", "failpoint-name", "metric-name", "header-name")
+              "span-name", "failpoint-name", "metric-name", "header-name",
+              "doc-path")
 
 
 def _read(path):
@@ -154,6 +158,8 @@ def run(argv=None):
             if (root / "docs" / "PROTOCOL.md").is_file() else ""
         findings.extend(crosscheck.check_header_names(sources,
                                                       protocol_text))
+    if "doc-path" in selected:
+        findings.extend(docpaths.check_tree(root))
 
     findings.sort(key=lambda f: (f.path, f.line, f.check))
     for finding in findings:

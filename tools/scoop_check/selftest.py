@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import common        # noqa: E402
 import crosscheck    # noqa: E402
+import docpaths      # noqa: E402
 import guarded_by    # noqa: E402
 import layering      # noqa: E402
 import status_audit  # noqa: E402
@@ -446,6 +447,54 @@ def test_header_name():
     expect("header-name/no-catalog",
            crosscheck.check_header_names([ok], "# PROTOCOL\nno table\n"),
            "header-name", contains="Header catalog")
+
+
+# --- doc-path -----------------------------------------------------------------
+
+DOC_TREE = {"src/csv/record_reader.h", "src/csv/record_reader.cc",
+            "src/columnar/simd.h", "src/columnar/simd.cc",
+            "tests/csv_test.cc", "tests/reference/scalar_row_reader.h"}
+
+
+def test_doc_path():
+    good = ("See `src/csv/record_reader.cc`, `src/columnar/`,\n"
+            "`csv/record_reader.*`, `columnar/simd.{h,cc}` and\n"
+            "`tests/csv_test.cc`.\n\n"
+            "- `src/csv/` — `record_reader.*` parsing.\n"
+            "- `tests/reference/` — `scalar_row_reader.h`.\n\n"
+            "Prose may name a bare `writer.*` outside an inventory.\n")
+    expect("doc-path/existing-paths-ok",
+           docpaths.check({"DESIGN.md": good}, DOC_TREE))
+
+    expect("doc-path/missing-src-file",
+           docpaths.check({"README.md": "Moved to `src/csv/writer.cc`.\n"},
+                          DOC_TREE),
+           "doc-path", contains="src/csv/writer.cc")
+
+    expect("doc-path/missing-src-dir",
+           docpaths.check({"DESIGN.md": "The `src/ghost/` module.\n"},
+                          DOC_TREE),
+           "doc-path", contains="src/ghost/")
+
+    expect("doc-path/module-relative-wildcard",
+           docpaths.check({"METRICS.md": "| `x` | y | `sql/lexer.*` |\n"},
+                          DOC_TREE),
+           "doc-path", contains="sql/lexer.*")
+
+    expect("doc-path/every-brace-alternative",
+           docpaths.check({"DESIGN.md": "`csv/record_reader.{h,cc,inc}`\n"},
+                          DOC_TREE),
+           "doc-path", contains="record_reader.{h,cc,inc}")
+
+    # The inventory form that rotted in DESIGN.md §2: bare names listed
+    # under a module bullet resolve against that module, continuation
+    # lines included, until the next bullet or blank line.
+    inventory = ("- `src/csv/` — `record_reader.*` (reader),\n"
+                 "  `writer.*`, `schema.*`.\n"
+                 "- `src/columnar/` — `simd.*`.\n")
+    expect("doc-path/inventory-bare-names",
+           docpaths.check({"DESIGN.md": inventory}, DOC_TREE),
+           "doc-path", "doc-path", contains="listed under `src/csv/`")
 
 
 def run():

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end seeded-violation test for the scoop_check CLI.
 
-Copies the real tree (src/, DESIGN.md, METRICS.md, docs/PROTOCOL.md)
-into a scratch root,
-seeds one violation per check into fresh files, runs the CLI as a
+Copies the real tree (the source and doc directories, DESIGN.md,
+METRICS.md, README.md) into a scratch root,
+seeds one violation per check into fresh files (README.md gets one
+appended line naming a missing src/ file), runs the CLI as a
 subprocess, and asserts (a) exit code 1, (b) every seeded check fires,
 (c) every finding points into the seeded files — the copied real tree
 must stay clean, so a regression that sprays false positives over good
@@ -71,22 +72,28 @@ void ZzSeededWire(Headers& headers) {
 }  // namespace scoop::net
 """
 
+SEEDED_DOC_LINE = "\nThe seeded module lives in `src/zz/ghost_module.h`.\n"
+
 EXPECTED_CHECKS = {"layering", "guarded-by", "status-audit", "lock-rank",
                    "span-name", "failpoint-name", "metric-name",
-                   "header-name"}
+                   "header-name", "doc-path"}
 SEEDED_PATHS = {"src/common/zz_seeded_guard.h", "src/common/zz_seeded.cc",
-                "src/net/zz_seeded_wire.cc"}
+                "src/net/zz_seeded_wire.cc", "README.md"}
 
 
 def main():
     with tempfile.TemporaryDirectory(prefix="scoop_check_seeded_") as tmp:
         root = Path(tmp)
-        shutil.copytree(REPO_ROOT / "src", root / "src")
-        for doc in ("DESIGN.md", "METRICS.md"):
+        # Every directory the docs may name, so doc-path sees the tree.
+        for top in ("src", "tests", "bench", "examples", "perfbench",
+                    "tools", "docs"):
+            if (REPO_ROOT / top).is_dir():
+                shutil.copytree(REPO_ROOT / top, root / top,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+        for doc in ("DESIGN.md", "METRICS.md", "README.md"):
             shutil.copy2(REPO_ROOT / doc, root / doc)
-        (root / "docs").mkdir()
-        shutil.copy2(REPO_ROOT / "docs" / "PROTOCOL.md",
-                     root / "docs" / "PROTOCOL.md")
+        with open(root / "README.md", "a", encoding="utf-8") as readme:
+            readme.write(SEEDED_DOC_LINE)
 
         csv_header = sorted(
             p.name for p in (REPO_ROOT / "src" / "csv").glob("*.h"))[0]
